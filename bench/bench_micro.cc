@@ -1,10 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // and the AM: event-queue throughput, fair-share rebalancing, JSON
 // parsing, HDFS locality queries, scheduler decisions, and the Cuneiform
-// sweep.
+// interpreter (Init alone, and driven to completion).
 
 #include <benchmark/benchmark.h>
 
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -135,6 +136,42 @@ void BM_CuneiformSweep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * options.num_chunks);
 }
 BENCHMARK(BM_CuneiformSweep)->Arg(64)->Arg(512);
+
+// Init, then instant FIFO completions until the workflow is done. The
+// `per_completion` counter is the host time of one OnTaskCompleted; it
+// must stay flat as the chunk count grows (BM_CuneiformSweep only times
+// Init, so it cannot see a per-completion cost that grows with N).
+void BM_CuneiformDrive(benchmark::State& state) {
+  SnvWorkloadOptions options;
+  options.num_chunks = static_cast<int>(state.range(0));
+  GeneratedWorkload workload = MakeSnvCallingWorkflow(options);
+  int64_t completions = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto source = CuneiformSource::Parse(workload.document);
+    auto tasks = (*source)->Init();
+    std::deque<TaskSpec> pending(tasks->begin(), tasks->end());
+    state.ResumeTiming();
+    while (!pending.empty()) {
+      TaskResult result;
+      result.id = pending.front().id;
+      result.signature = pending.front().signature;
+      pending.pop_front();
+      auto more = (*source)->OnTaskCompleted(result);
+      pending.insert(pending.end(), more->begin(), more->end());
+      ++completions;
+    }
+    benchmark::DoNotOptimize((*source)->IsDone());
+    state.PauseTiming();
+    source->reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(completions);
+  state.counters["per_completion"] = benchmark::Counter(
+      static_cast<double>(completions),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_CuneiformDrive)->Arg(64)->Arg(256)->Arg(1152);
 
 void BM_HeftScheduleBuild(benchmark::State& state) {
   const int tasks_n = static_cast<int>(state.range(0));

@@ -163,7 +163,7 @@ Result<BurstResult> RunBurst(const std::string& rm_scheduler, bool quick) {
     result.makespan_s = std::max(result.makespan_s, rec.finished_at);
   }
   std::vector<double> waits;
-  for (const std::string& queue : {"genomics", "analytics"}) {
+  for (const char* queue : {"genomics", "analytics"}) {
     const TenantStats* stats = d->rm->queue_stats(queue);
     if (stats != nullptr) {
       waits.insert(waits.end(), stats->wait_times_s.begin(),
@@ -187,14 +187,14 @@ int Main(int argc, char** argv) {
   std::printf("%-10s %12s %14s %13s %10s %6s\n", "scheduler", "makespan",
               "mean-wait", "p95-wait", "jain", "ok");
   bench::PrintRule(70);
-  for (const std::string& scheduler : {"fifo", "capacity", "fair"}) {
+  for (const char* scheduler : {"fifo", "capacity", "fair"}) {
     auto result = RunBurst(scheduler, quick);
     if (!result.ok()) {
-      std::fprintf(stderr, "%s: %s\n", scheduler.c_str(),
+      std::fprintf(stderr, "%s: %s\n", scheduler,
                    result.status().ToString().c_str());
       return 1;
     }
-    std::printf("%-10s %12s %14s %13s %10.3f %3d/%d\n", scheduler.c_str(),
+    std::printf("%-10s %12s %14s %13s %10.3f %3d/%d\n", scheduler,
                 HumanDuration(result->makespan_s).c_str(),
                 HumanDuration(result->mean_wait_s).c_str(),
                 HumanDuration(result->p95_wait_s).c_str(), result->fairness,

@@ -3,61 +3,46 @@
 // Evaluation model (Sec. 3.3 of the paper): the interpreter reduces the
 // program as far as its data allows. Each concrete black-box application
 // becomes a task; its results are unknown until the driver runs it, so the
-// application's value is *pending*. After every task completion the
-// program is re-evaluated from the root (memoised per concrete
-// application, so nothing is re-submitted), which naturally supports
-// data-dependent conditionals, unbounded loops, and recursion: an `if`
-// whose condition is pending suspends both branches, and resolving it may
-// discover entirely new tasks.
+// application's value is *pending*. Evaluation stops on a pending value in
+// exactly three places, and each stop is recorded as a *suspension*:
+//   - a task combination with a pending argument (including an
+//     application whose map/cross shape still depends on a pending
+//     argument),
+//   - an `if` whose condition is pending,
+//   - a concatenation with a pending part.
+// A suspension keeps what it needs to continue — the expression, its
+// (shared, immutable) environment or argument values, its evaluation
+// depth — and registers on the pending value it waits on. A completion
+// resolves that task's value and wakes only the suspensions waiting on it;
+// a resumed suspension that produces its value in turn wakes the
+// suspensions waiting on *that*. So data-dependent conditionals, unbounded
+// loops, and recursion are supported at a cost proportional to what a
+// completion unblocks, not to the size of the program.
+//
+// Discovery order: every suspension records its traversal position (let
+// index, then argument, list-element, combination, and call-depth
+// indices). Woken suspensions resume in lexicographic position order, so
+// tasks are discovered — and numbered — in exactly the order a full
+// from-root re-evaluation after every completion would find them. Task ids
+// and output paths therefore match that model bit for bit; the test suite
+// keeps such a from-root evaluator as an oracle
+// (tests/cuneiform_oracle_test.cc) and checks the two agree after every
+// step of random programs under random completion orders.
 
 #ifndef HIWAY_LANG_CUNEIFORM_H_
 #define HIWAY_LANG_CUNEIFORM_H_
 
-#include <map>
+#include <cstdint>
 #include <memory>
-#include <set>
+#include <queue>
 #include <string>
 #include <vector>
 
+#include "src/common/flat_hash.h"
 #include "src/lang/cuneiform_ast.h"
 #include "src/lang/workflow.h"
 
 namespace hiway {
-
-/// Evaluation value: strings, files, lists, or a pending task output.
-struct CuneiformValue {
-  enum class Kind { kString, kFile, kList, kPending };
-  Kind kind = Kind::kString;
-  std::string str;                     // kString / kFile payload
-  std::vector<CuneiformValue> items;   // kList payload
-
-  static CuneiformValue String(std::string s) {
-    CuneiformValue v;
-    v.kind = Kind::kString;
-    v.str = std::move(s);
-    return v;
-  }
-  static CuneiformValue File(std::string path) {
-    CuneiformValue v;
-    v.kind = Kind::kFile;
-    v.str = std::move(path);
-    return v;
-  }
-  static CuneiformValue List(std::vector<CuneiformValue> items) {
-    CuneiformValue v;
-    v.kind = Kind::kList;
-    v.items = std::move(items);
-    return v;
-  }
-  static CuneiformValue Pending() {
-    CuneiformValue v;
-    v.kind = Kind::kPending;
-    return v;
-  }
-
-  /// True if no pending value occurs anywhere inside.
-  bool IsConcrete() const;
-};
 
 struct CuneiformOptions {
   /// DFS directory generated outputs are placed under.
@@ -65,8 +50,9 @@ struct CuneiformOptions {
   /// Guards against unbounded *static* recursion (a defun that recurses
   /// without consuming task results). Each level costs several native
   /// stack frames, so the bound is sized to trip well before the C++
-  /// stack does (even under sanitizers); ~60+ data-driven iterations per
-  /// sweep still fit comfortably.
+  /// stack does (even under sanitizers). Suspensions keep the depth they
+  /// stopped at, so data-driven iterations count against it too (~60+
+  /// still fit comfortably).
   int max_eval_depth = 400;
   /// Workflow name used in provenance.
   std::string workflow_name = "cuneiform-workflow";
@@ -77,70 +63,121 @@ class CuneiformSource : public WorkflowSource {
   /// Parses `source_text`; fails on syntax errors.
   static Result<std::unique_ptr<CuneiformSource>> Parse(
       std::string_view source_text, CuneiformOptions options = {});
+  ~CuneiformSource() override;
 
   std::string name() const override { return options_.workflow_name; }
   bool IsStatic() const override { return false; }
   Result<std::vector<TaskSpec>> Init() override;
+  /// Evaluation errors are final: once a call fails, later calls return
+  /// the same error. A repeated completion of a task is ignored.
   Result<std::vector<TaskSpec>> OnTaskCompleted(
       const TaskResult& result) override;
   bool IsDone() const override { return done_; }
+  /// File paths of the targets, flattened in order (pending parts skipped).
   std::vector<std::string> Targets() const override;
 
-  /// Resolved target values after completion (files flattened in order).
-  const std::vector<CuneiformValue>& target_values() const {
-    return target_values_;
-  }
-
   /// Number of distinct task applications discovered so far.
-  size_t applications() const { return memo_.size(); }
+  size_t applications() const { return apps_.size(); }
 
  private:
-  CuneiformSource(cuneiform::Program program, CuneiformOptions options)
-      : program_(std::move(program)), options_(std::move(options)) {}
+  struct Val;
+  struct Cell;
+  struct Env;
+  struct Suspension;
+  /// Where evaluation stopped: the three places of the header comment,
+  /// with an application whose map/cross shape is still pending (kApply)
+  /// told apart from a single combination.
+  enum class Stop { kIf, kConcat, kApply, kCombination };
+  using ValPtr = std::shared_ptr<const Val>;
+  using EnvPtr = std::shared_ptr<const Env>;
+  /// Traversal position of an evaluation point (see the header comment).
+  using Path = std::vector<uint32_t>;
 
+  /// One concrete application, indexed by task id - 1.
   struct AppEntry {
-    TaskId task_id = kInvalidTask;
-    bool done = false;
-    /// Output values by parameter name (filled on completion).
-    std::map<std::string, CuneiformValue> outputs;
-    TaskSpec spec;
+    const cuneiform::TaskDef* def = nullptr;
+    /// Output paths in `def->outputs` order (empty for value outputs).
+    std::vector<std::string> output_paths;
+    /// Resolved with the task's outputs on completion.
+    Cell* cell = nullptr;
   };
 
-  using Env = std::map<std::string, CuneiformValue>;
+  struct LaterPosition {
+    bool operator()(const Suspension* a, const Suspension* b) const;
+  };
 
-  /// One full reduction sweep; fills `discovered` with new tasks and sets
-  /// done_ when all targets are concrete.
-  Status Sweep(std::vector<TaskSpec>* discovered);
+  CuneiformSource(cuneiform::Program program, CuneiformOptions options);
 
-  Result<CuneiformValue> Eval(const cuneiform::ExprPtr& expr, const Env& env,
-                              int depth, std::vector<TaskSpec>* discovered);
-  Result<CuneiformValue> EvalApply(const cuneiform::Expr& expr, const Env& env,
-                                   int depth,
-                                   std::vector<TaskSpec>* discovered);
-  Result<CuneiformValue> ApplyTask(const cuneiform::TaskDef& def,
-                                   const std::map<std::string, CuneiformValue>&
-                                       args,
-                                   std::vector<TaskSpec>* discovered);
-  /// Invokes one concrete combination (after map/cross expansion).
-  /// A parameter's value is `overrides[name]` if present, else
-  /// `args[name]` — the override indirection avoids copying the (possibly
-  /// huge) argument lists once per combination.
-  Result<CuneiformValue> InvokeCombination(
-      const cuneiform::TaskDef& def,
-      const std::map<std::string, CuneiformValue>& args,
-      const std::map<std::string, const CuneiformValue*>& overrides,
-      std::vector<TaskSpec>* discovered);
+  Result<ValPtr> Eval(const cuneiform::Expr& expr, const EnvPtr& env,
+                      int depth, Path& path);
+  Result<ValPtr> EvalApply(const cuneiform::Expr& expr, const EnvPtr& env,
+                           int depth, Path& path);
+  // The *From functions continue evaluation at a stop. With `s` null they
+  // run on first evaluation and suspend anew if blocked; with `s` they
+  // resume it, and if still blocked re-arm it and return its own pending
+  // value. `path` is the stopped expression's position.
 
-  static bool Truthy(const CuneiformValue& v);
-  static std::string Serialize(const CuneiformValue& v);
+  /// Continues a concatenation at part `i`, whose value is `part`.
+  Result<ValPtr> ConcatFrom(const cuneiform::Expr& expr, const EnvPtr& env,
+                            int depth, Path& path, size_t i,
+                            ValPtr part, std::string text, Suspension* s);
+  Result<ValPtr> IfFrom(const cuneiform::Expr& expr, const EnvPtr& env,
+                        int depth, Path& path, ValPtr cond,
+                        Suspension* s);
+  /// Map/cross-expands an application whose arguments are in
+  /// `def.inputs` order; `first_combination` is the position index of
+  /// its first combination under `path`.
+  Result<ValPtr> ApplyFrom(const cuneiform::TaskDef& def,
+                           std::vector<ValPtr> args, Path& path,
+                           uint32_t first_combination, Suspension* s);
+  /// One combination (after map/cross expansion); `path` is its own
+  /// position.
+  Result<ValPtr> CombinationFrom(const cuneiform::TaskDef& def,
+                                 std::vector<ValPtr> bound, Path& path,
+                                 Suspension* s);
+  /// Invokes a combination whose arguments are all concrete: validates
+  /// them, then returns the memoised application's value, discovering a
+  /// new task on a memo miss.
+  Result<ValPtr> InvokeConcrete(const cuneiform::TaskDef& def,
+                                const std::vector<ValPtr>& bound);
+
+  Cell* NewCell();
+  Suspension* Suspend(Suspension* s, Stop kind, const Path& path, int depth);
+  void Await(Suspension* s, Cell* cell);
+  void Wake(Cell* cell);
+  void Resolve(Cell* cell, ValPtr value);
+  /// Resumes woken suspensions in position order until none is left.
+  Status Drain(uint32_t* failed_at);
+  Status Resume(Suspension* s);
+  /// Records an evaluation error raised under top-level statement
+  /// `failed_at` (a let index, or the number of lets plus a target index).
+  Result<std::vector<TaskSpec>> Fail(Status status, uint32_t failed_at);
+  void UpdateDone();
+
+  /// The value `v` stands for, through resolved cells.
+  static const Val& Follow(const ValPtr& v);
+  static bool IsConcrete(const ValPtr& v, Cell** blocker);
+  static bool Truthy(const Val& v);
+  static void Serialize(const ValPtr& v, std::string* out);
 
   cuneiform::Program program_;
   CuneiformOptions options_;
-  std::map<std::string, AppEntry> memo_;      // app key -> entry
-  std::map<TaskId, std::string> key_by_task_;
-  TaskId next_task_id_ = 1;
+  std::vector<std::unique_ptr<Cell>> cells_;
+  std::vector<std::unique_ptr<Suspension>> suspensions_;
+  std::priority_queue<Suspension*, std::vector<Suspension*>, LaterPosition>
+      woken_;
+  std::vector<AppEntry> apps_;
+  /// Serialised application key -> index into apps_.
+  FlatHashMap<std::string, size_t> memo_;
+  std::vector<ValPtr> targets_;
+  std::vector<TaskSpec>* discovered_ = nullptr;
+  Status failed_;
+  /// Calls so far (Init and completions); cells record the one that
+  /// resolved them.
+  uint64_t calls_ = 0;
+  /// Targets() shows cells resolved up to this call.
+  uint64_t targets_view_ = UINT64_MAX;
   bool done_ = false;
-  std::vector<CuneiformValue> target_values_;
 };
 
 }  // namespace hiway

@@ -795,13 +795,6 @@ const SubmissionRecord* WorkflowService::record(SubmissionId id) const {
   return it == records_.end() ? nullptr : &it->second;
 }
 
-std::vector<SubmissionRecord> WorkflowService::Records() const {
-  std::vector<SubmissionRecord> out;
-  out.reserve(records_.size());
-  for (const auto& [id, rec] : records_) out.push_back(rec);
-  return out;
-}
-
 const ServiceQueueCounters* WorkflowService::queue_counters(
     const std::string& queue) const {
   auto it = counters_.find(queue);

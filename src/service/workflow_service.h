@@ -26,6 +26,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ranges>
 #include <set>
 #include <string>
 #include <vector>
@@ -242,8 +243,10 @@ class WorkflowService {
   int64_t footprint_budget_bytes() const { return footprint_budget_bytes_; }
 
   const SubmissionRecord* record(SubmissionId id) const;
-  /// All records, ascending submission id.
-  std::vector<SubmissionRecord> Records() const;
+  /// All records, ascending submission id: a read-only view over the
+  /// service's own records, not a copy. Records are never erased, so
+  /// references into the view stay valid while the service lives.
+  auto Records() const { return std::views::values(records_); }
   const ServiceQueueCounters* queue_counters(const std::string& queue) const;
   std::vector<std::string> QueueNames() const;
 

@@ -149,8 +149,8 @@ TEST(CuneiformEdgeTest, LetShadowingUsesLatestBinding) {
 }
 
 TEST(CuneiformEdgeTest, MemoisationHoldsThroughRecursionReplay) {
-  // Each recursion level replays the whole program; the task invoked at
-  // level k must not be re-submitted at level k+1.
+  // Each recursion level re-applies the tasks of the level before it; the
+  // task invoked at level k must not be re-submitted at level k+1.
   auto source = CuneiformSource::Parse(R"(
     deftask step( next : c ) in 'step';
     deftask check( <ok> : c ) in 'check';

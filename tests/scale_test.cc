@@ -209,7 +209,7 @@ std::vector<ChurnOp> MakeChurnScript(uint32_t seed) {
     reg.kind = ChurnOp::kRegister;
     reg.at = uniform(0.0, 10.0);
     reg.app_index = a;
-    reg.queue = StrFormat("q%u", rng() % 4);
+    reg.queue = StrFormat("q%u", static_cast<unsigned>(rng() % 4));
     ops.push_back(reg);
     int requests = 5 + static_cast<int>(rng() % 11);
     for (int r = 0; r < requests; ++r) {

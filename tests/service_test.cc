@@ -57,10 +57,16 @@ TEST(ServiceTest, RunsManyWorkflowsConcurrently) {
   }
   EXPECT_EQ((*service)->running_ams(), 3);  // all admitted immediately
   ASSERT_TRUE((*service)->RunToCompletion().ok());
+  SubmissionId expected_id = 1;
   for (const SubmissionRecord& rec : (*service)->Records()) {
     EXPECT_EQ(rec.state, SubmissionState::kSucceeded) << rec.name;
     EXPECT_GT(rec.report.tasks_completed, 0) << rec.name;
+    // Records() views the service's own records in id order; it copies
+    // nothing, so addresses taken here outlive the loop.
+    EXPECT_EQ(rec.id, expected_id);
+    EXPECT_EQ(&rec, (*service)->record(expected_id++));
   }
+  EXPECT_EQ(expected_id, 4);
   EXPECT_TRUE((*service)->Idle());
 }
 
