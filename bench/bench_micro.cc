@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
-// and the AM: event-queue throughput, fair-share rebalancing, JSON
+// and the AM: event-queue throughput, fair-share re-fills, JSON
 // parsing, HDFS locality queries, scheduler decisions, and the Cuneiform
 // interpreter (Init alone, and driven to completion).
 
@@ -14,6 +14,7 @@
 #include "src/core/scheduler.h"
 #include "src/hdfs/dfs.h"
 #include "src/lang/cuneiform.h"
+#include "src/sim/cluster.h"
 #include "src/sim/engine.h"
 #include "src/sim/flow.h"
 #include "src/workloads/workloads.h"
@@ -54,13 +55,67 @@ void BM_FlowRebalance(benchmark::State& state) {
   }
   ResourceId churn = net.AddResource("churn", 10.0);
   for (auto _ : state) {
-    // Each StartFlow triggers a full rebalance over all active flows.
+    // Each change is its own event: RunUntil(Now()) runs the re-fill the
+    // network defers to the end of the event. The churn flow is alone on
+    // its resource, so that re-fill covers only that one flow; what
+    // remains is the per-change bookkeeping (next-completion scan) over
+    // all active flows.
     FlowId id = net.StartFlow({{churn}, kInfiniteDemand, kNoRateCap, 1.0, {}});
+    engine.RunUntil(engine.Now());
     net.CancelFlow(id);
+    engine.RunUntil(engine.Now());
   }
-  state.SetItemsProcessed(state.iterations() * 2);  // two rebalances each
+  state.SetItemsProcessed(state.iterations() * 2);  // two changes each
 }
 BENCHMARK(BM_FlowRebalance)->Arg(100)->Arg(600);
+
+// Per-change cost on a Fig. 4-shaped network: 24 nodes x 12 cores, 1 GbE
+// NICs, a 250 MB/s switch. Two thirds of the background flows are
+// one-core task CPU flows spread over the nodes; the rest are replicated
+// writes across the switch (disk, NIC, switch, NIC, disk), which join into
+// one switch-wide component. Arg 1 picks the churned change: 0 starts and
+// cancels a node-local CPU flow (re-fills one node's CPU flows), 1 a
+// switch-crossing transfer (re-fills every transfer).
+void BM_FlowRebalanceCluster(benchmark::State& state) {
+  const int64_t flows = state.range(0);
+  const bool crossing = state.range(1) != 0;
+  constexpr int kNodes = 24;
+  SimEngine engine;
+  FlowNetwork net(&engine);
+  NodeSpec node;
+  node.cores = 12;
+  node.nic_bw_mbps = 125.0;
+  Cluster cluster(&engine, &net, ClusterSpec::Uniform(kNodes, node, 250.0));
+  for (int64_t i = 0; i < flows; ++i) {
+    auto n = static_cast<NodeId>(i % kNodes);
+    if (i % 3 != 2) {
+      net.StartFlow({{cluster.cpu(n)}, kInfiniteDemand, 1.0, 1.0, {}});
+    } else {
+      NodeId dst = (n + 1 + static_cast<NodeId>(i % 7)) % kNodes;
+      net.StartFlow({cluster.RemoteTransferPath(n, dst), kInfiniteDemand,
+                     kNoRateCap, 1.0, {}});
+    }
+  }
+  FlowSpec churn;
+  churn.resources = crossing ? cluster.RemoteTransferPath(0, 1)
+                             : std::vector<ResourceId>{cluster.cpu(0)};
+  churn.demand = kInfiniteDemand;
+  churn.rate_cap = crossing ? kNoRateCap : 1.0;
+  for (auto _ : state) {
+    // As above: each change is its own event, re-filled at its end.
+    FlowId id = net.StartFlow(churn);
+    engine.RunUntil(engine.Now());
+    net.CancelFlow(id);
+    engine.RunUntil(engine.Now());
+  }
+  state.SetLabel(crossing ? "switch-crossing" : "node-local cpu");
+  state.SetItemsProcessed(state.iterations() * 2);  // two changes each
+}
+BENCHMARK(BM_FlowRebalanceCluster)
+    ->Args({100, 0})
+    ->Args({100, 1})
+    ->Args({600, 0})
+    ->Args({600, 1});
 
 void BM_JsonParseTrapline(benchmark::State& state) {
   GeneratedWorkload workload = MakeTraplineWorkflow(RnaSeqWorkloadOptions{});

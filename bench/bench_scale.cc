@@ -26,6 +26,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -191,7 +192,7 @@ int Main(int argc, char** argv) {
   };
   std::vector<GridPoint> grid;
   if (quick) {
-    grid = {{50, 100}, {100, 200}, {250, 500}};
+    grid = {{50, 100}, {100, 100}, {250, 250}};
   } else {
     grid = {{100, 100}, {500, 500}, {1000, 1000}, {2000, 1000}};
   }
@@ -214,7 +215,9 @@ int Main(int argc, char** argv) {
   double incremental_pass_wall_s = 0.0;
   double full_scan_pass_wall_s = 0.0;
   for (const GridPoint& point : grid) {
-    const PointResult* incremental = nullptr;
+    // The incremental run's fingerprint (not a pointer into `results`,
+    // which the full-scan run's push_back may reallocate).
+    std::optional<uint64_t> incremental_fingerprint;
     for (const std::string mode : {"incremental", "full-scan"}) {
       auto r = RunPoint(point.nodes, point.workflows, mode);
       if (!r.ok()) {
@@ -239,11 +242,11 @@ int Main(int argc, char** argv) {
                     back.host_wall_s);
       }
       if (mode == "incremental") {
-        incremental = &results.back();
+        incremental_fingerprint = back.fingerprint;
         incremental_pass_wall_s +=
             back.wall_per_pass_us * static_cast<double>(back.passes) * 1e-6;
-      } else if (incremental != nullptr) {
-        if (back.fingerprint != incremental->fingerprint) {
+      } else if (incremental_fingerprint.has_value()) {
+        if (back.fingerprint != *incremental_fingerprint) {
           schedule_identical = false;
         }
         full_scan_pass_wall_s +=

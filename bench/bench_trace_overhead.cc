@@ -9,18 +9,27 @@
 //                   untraced run's EXACTLY (same seed, same events).
 //   wall cost     — the recording fast path (one relaxed load when
 //                   disabled; a ring append when enabled) is gated at
-//                   < 5 % median wall-clock overhead across paired
-//                   runs (the ISSUE's acceptance bar; see
+//                   < 5 % wall-clock overhead: the median, over paired
+//                   legs, of the on/off wall ratio (see
 //                   docs/observability.md).
+//
+// One simulation takes ~10 ms, far too short to time against a 5 %
+// margin, so each of a pair's two legs (tracing off, tracing on) runs the
+// same simulation many times and keeps its fastest run (host interference
+// only ever adds time). The legs' runs interleave, alternating which goes
+// first, so drift in host speed favours neither, and the gate reads the
+// median of the per-pair on/off ratios, which one disturbed pair cannot
+// move.
 //
 // Also reports events recorded, events/sec, ns/event, and — because the
 // trace should explain the run — the critical-path breakdown of the
 // traced run. `--json` emits one JSON object for CI artifacts,
-// `--quick` shrinks the workload and repetition count.
+// `--quick` runs fewer pairs of shorter legs.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -102,8 +111,9 @@ int Main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--json") json = true;
   }
-  int workers = quick ? 4 : 8;
-  int reps = quick ? 5 : 7;
+  const int workers = 8;
+  const int pairs = quick ? 11 : 15;
+  const int runs_per_leg = quick ? 20 : 32;
 
   // Untimed warm-up: first simulation pays allocator / page-fault
   // costs that would otherwise be charged to the "off" leg.
@@ -111,63 +121,77 @@ int Main(int argc, char** argv) {
 
   if (!json) {
     std::printf("bench_trace_overhead: fig6 SNV workload, %d workers, "
-                "%d paired reps (tracing off vs. on)\n\n",
-                workers, reps);
+                "%d paired legs of %d runs (tracing off vs. on)\n\n",
+                workers, pairs, runs_per_leg);
   }
 
-  std::vector<double> wall_off, wall_on;
+  std::vector<double> wall_off, wall_on, ratios;
   double makespan_off = -1.0, makespan_on = -1.0;
   uint64_t events_recorded = 0, events_dropped = 0;
   double traced_wall_total = 0.0;
   std::vector<TraceEvent> sample_events;
-  for (int r = 0; r < reps; ++r) {
-    uint64_t seed = 42;  // identical seed: paired runs, same schedule
-    auto off = RunOnce(workers, seed, /*tracing=*/false,
-                       /*keep_events=*/false);
-    if (!off.ok()) {
-      std::fprintf(stderr, "untraced run failed: %s\n",
-                   off.status().ToString().c_str());
-      return 1;
+  const uint64_t seed = 42;  // identical seed: paired runs, same schedule
+  // One run; folds it into the gates' state and returns its wall time,
+  // or a negative value on failure.
+  auto run_once = [&](bool tracing, bool keep) -> double {
+    auto run = RunOnce(workers, seed, tracing, keep);
+    if (!run.ok()) {
+      std::fprintf(stderr, "%s run failed: %s\n",
+                   tracing ? "traced" : "untraced",
+                   run.status().ToString().c_str());
+      return -1.0;
     }
-    auto on = RunOnce(workers, seed, /*tracing=*/true,
-                      /*keep_events=*/r == 0);
-    if (!on.ok()) {
-      std::fprintf(stderr, "traced run failed: %s\n",
-                   on.status().ToString().c_str());
-      return 1;
-    }
-    wall_off.push_back(off->wall_seconds);
-    wall_on.push_back(on->wall_seconds);
-    makespan_off = off->virtual_makespan_s;
-    makespan_on = on->virtual_makespan_s;
-    events_recorded = on->events_recorded;
-    events_dropped = on->events_dropped;
-    traced_wall_total += on->wall_seconds;
-    if (r == 0) sample_events = std::move(on->events);
-    if (!json) {
-      std::printf("  rep %d: wall off=%.3fs on=%.3fs  virtual "
-                  "off=%.1fs on=%.1fs\n",
-                  r, off->wall_seconds, on->wall_seconds,
-                  off->virtual_makespan_s, on->virtual_makespan_s);
+    if (tracing) {
+      makespan_on = run->virtual_makespan_s;
+      events_recorded = run->events_recorded;
+      events_dropped = std::max(events_dropped, run->events_dropped);
+      traced_wall_total += run->wall_seconds;
+      if (keep) sample_events = std::move(run->events);
+    } else {
+      makespan_off = run->virtual_makespan_s;
     }
     // Gate 1: recording must not perturb the simulation.
-    if (off->virtual_makespan_s != on->virtual_makespan_s) {
+    if (makespan_on >= 0.0 && makespan_off >= 0.0 &&
+        makespan_off != makespan_on) {
       std::fprintf(stderr,
                    "FAIL: tracing changed the virtual makespan "
                    "(%.6f != %.6f)\n",
-                   off->virtual_makespan_s, on->virtual_makespan_s);
-      return 1;
+                   makespan_off, makespan_on);
+      return -1.0;
+    }
+    return run->wall_seconds;
+  };
+  for (int p = 0; p < pairs; ++p) {
+    // The two legs' runs interleave, alternating which goes first, so
+    // both legs see the same phases of host speed.
+    double off = std::numeric_limits<double>::infinity();
+    double on = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < runs_per_leg; ++i) {
+      bool on_first = (p + i) % 2 == 1;
+      for (bool tracing : {on_first, !on_first}) {
+        double wall = run_once(tracing, tracing && p == 0 && i == 0);
+        if (wall < 0.0) return 1;
+        double& fastest = tracing ? on : off;
+        fastest = std::min(fastest, wall);
+      }
+    }
+    wall_off.push_back(off);
+    wall_on.push_back(on);
+    ratios.push_back(off > 0.0 ? on / off : 1.0);
+    if (!json) {
+      std::printf("  pair %d: fastest run off=%.4fs on=%.4fs ratio %.4f  "
+                  "virtual off=%.1fs on=%.1fs\n",
+                  p, off, on, ratios.back(), makespan_off, makespan_on);
     }
   }
 
   double med_off = bench::Median(wall_off);
   double med_on = bench::Median(wall_on);
-  double overhead =
-      med_off > 0.0 ? (med_on - med_off) / med_off : 0.0;
+  double overhead = bench::Median(ratios) - 1.0;
+  double runs_on = static_cast<double>(pairs) * runs_per_leg;
   double events_per_sec =
       traced_wall_total > 0.0
-          ? static_cast<double>(events_recorded) *
-                static_cast<double>(reps) / traced_wall_total
+          ? static_cast<double>(events_recorded) * runs_on / traced_wall_total
           : 0.0;
   double ns_per_event =
       events_recorded > 0
@@ -177,12 +201,13 @@ int Main(int argc, char** argv) {
   TraceAnalyzer analyzer(std::move(sample_events));
   CriticalPathReport path = analyzer.CriticalPath();
 
-  // Gate 2: < 5 % median wall-clock overhead.
+  // Gate 2: < 5 % wall-clock overhead (median per-pair ratio).
   bool pass = overhead < kMaxOverheadFraction && events_dropped == 0;
 
   if (json) {
     std::printf(
-        "{\"bench\": \"trace_overhead\", \"workers\": %d, \"reps\": %d, "
+        "{\"bench\": \"trace_overhead\", \"workers\": %d, \"pairs\": %d, "
+        "\"runs_per_leg\": %d, "
         "\"wall_median_off_s\": %.6f, \"wall_median_on_s\": %.6f, "
         "\"overhead_fraction\": %.6f, \"overhead_gate\": %.2f, "
         "\"virtual_makespan_s\": %.3f, \"virtual_makespan_identical\": %s, "
@@ -191,15 +216,16 @@ int Main(int argc, char** argv) {
         "\"critical_path\": {\"total_s\": %.3f, \"wait_s\": %.3f, "
         "\"data_s\": %.3f, \"compute_s\": %.3f, \"steps\": %zu}, "
         "\"pass\": %s}\n",
-        workers, reps, med_off, med_on, overhead, kMaxOverheadFraction,
+        workers, pairs, runs_per_leg, med_off, med_on, overhead,
+        kMaxOverheadFraction,
         makespan_on, makespan_off == makespan_on ? "true" : "false",
         (unsigned long long)events_recorded,
         (unsigned long long)events_dropped, events_per_sec, ns_per_event,
         path.total_s, path.wait_s, path.data_s, path.compute_s,
         path.steps.size(), pass ? "true" : "false");
   } else {
-    std::printf("\n  median wall: off=%.3fs on=%.3fs -> overhead %.2f%% "
-                "(gate < %.0f%%)\n",
+    std::printf("\n  median fastest run: off=%.4fs on=%.4fs; median on/off "
+                "ratio -> overhead %.2f%% (gate < %.0f%%)\n",
                 med_off, med_on, overhead * 100.0,
                 kMaxOverheadFraction * 100.0);
     std::printf("  events: %llu recorded, %llu dropped (%.0f events/s, "

@@ -1,6 +1,7 @@
 #include "src/obs/tracer.h"
 
 #include <algorithm>
+#include <new>
 
 namespace hiway {
 
@@ -20,18 +21,20 @@ const char* ToString(SpanCategory category) {
 }
 
 TraceRing::TraceRing(size_t capacity)
-    : slots_(std::max<size_t>(capacity, 1)) {}
+    : capacity_(std::max<size_t>(capacity, 1)),
+      storage_(new std::byte[capacity_ * sizeof(TraceEvent)]),
+      slots_(reinterpret_cast<TraceEvent*>(storage_.get())) {}
 
 void TraceRing::Push(const TraceEvent& event) {
   uint64_t h = head_.load(std::memory_order_relaxed);
-  slots_[static_cast<size_t>(h % slots_.size())] = event;
+  new (&slots_[static_cast<size_t>(h % capacity_)]) TraceEvent(event);
   // Publish: readers only trust slots strictly behind the head.
   head_.store(h + 1, std::memory_order_release);
 }
 
 std::vector<TraceEvent> TraceRing::Snapshot() const {
   uint64_t h = head_.load(std::memory_order_acquire);
-  size_t cap = slots_.size();
+  size_t cap = capacity_;
   uint64_t first = h > cap ? h - cap : 0;
   std::vector<TraceEvent> out;
   out.reserve(static_cast<size_t>(h - first));
@@ -61,8 +64,11 @@ TraceRing* Tracer::RingForThisThread() {
     TraceRing* ring;
   };
   thread_local std::vector<CacheEntry> cache;
-  for (const CacheEntry& e : cache) {
-    if (e.tracer_id == tracer_id_) return e.ring;
+  // Newest first: entries of destroyed tracers are never removed, so a
+  // process that builds many deployments (a benchmark's repetitions)
+  // would otherwise scan all of them on every record.
+  for (auto it = cache.rbegin(); it != cache.rend(); ++it) {
+    if (it->tracer_id == tracer_id_) return it->ring;
   }
   std::lock_guard<std::mutex> lock(mu_);
   rings_.push_back(std::make_unique<TraceRing>(ring_capacity_));

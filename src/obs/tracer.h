@@ -19,6 +19,7 @@
 #define HIWAY_OBS_TRACER_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -92,16 +93,21 @@ class TraceRing {
   /// Forgets all events (producer must be quiescent).
   void Reset() { head_.store(0, std::memory_order_release); }
 
-  size_t capacity() const { return slots_.size(); }
+  size_t capacity() const { return capacity_; }
   uint64_t pushed() const { return head_.load(std::memory_order_acquire); }
   /// Events lost to overwrite (pushed beyond capacity).
   uint64_t dropped() const {
     uint64_t p = pushed();
-    return p > slots_.size() ? p - slots_.size() : 0;
+    return p > capacity_ ? p - capacity_ : 0;
   }
 
  private:
-  std::vector<TraceEvent> slots_;
+  const size_t capacity_;
+  /// Uninitialised storage for `capacity_` events: a slot (and its page)
+  /// is first written when an event lands in it, so creating a ring does
+  /// not cost a sweep over its whole capacity.
+  std::unique_ptr<std::byte[]> storage_;
+  TraceEvent* slots_;
   /// Number of completed pushes; slot i of push n is n % capacity.
   std::atomic<uint64_t> head_{0};
 };

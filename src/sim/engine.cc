@@ -16,9 +16,15 @@ constexpr size_t kCompactMinCancelled = 1024;
 }  // namespace
 
 EventId SimEngine::ScheduleAt(SimTime at, std::function<void()> fn) {
+  return ScheduleReserved(at, ReserveSeq(), std::move(fn));
+}
+
+EventId SimEngine::ScheduleReserved(SimTime at, uint64_t seq,
+                                    std::function<void()> fn) {
+  HIWAY_CHECK(seq < next_seq_);
   if (at < now_) at = now_;
   EventId id = next_id_++;
-  heap_.push_back(Event{at, next_seq_++, id, std::move(fn)});
+  heap_.push_back(Event{at, seq, id, std::move(fn)});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
   return id;
@@ -43,7 +49,21 @@ void SimEngine::Compact() {
   ++compactions_;
 }
 
+void SimEngine::CancelDeferred(DeferredWork* work) {
+  deferred_.erase(std::remove(deferred_.begin(), deferred_.end(), work),
+                  deferred_.end());
+}
+
+void SimEngine::RunDeferredWork() {
+  while (!deferred_.empty()) {
+    DeferredWork* work = deferred_.front();
+    deferred_.erase(deferred_.begin());
+    work->RunDeferred();
+  }
+}
+
 bool SimEngine::PopAndRunNext(SimTime limit) {
+  if (!deferred_.empty()) RunDeferredWork();
   while (!heap_.empty()) {
     if (heap_.front().time > limit) return false;
     std::pop_heap(heap_.begin(), heap_.end(), Later{});

@@ -14,6 +14,10 @@
 // in one O(n) sweep and re-heapifies, so a cancel-heavy workload (e.g.
 // thousands of AMs re-arming heartbeat timers) cannot grow the heap
 // without bound. docs/scaling.md describes the scale model.
+//
+// A component can defer work to the end of the current event (Defer):
+// the engine runs it before dispatching the next event, so many changes
+// made in one event are processed once (the flow network's re-fill).
 
 #ifndef HIWAY_SIM_ENGINE_H_
 #define HIWAY_SIM_ENGINE_H_
@@ -33,6 +37,17 @@ using SimTime = double;
 /// Handle used to cancel a scheduled event.
 using EventId = uint64_t;
 
+/// Work a component defers to the end of the current event so that many
+/// changes made in one event are processed once (the flow network's
+/// re-fill). The engine runs it before it next dispatches an event.
+class DeferredWork {
+ public:
+  virtual void RunDeferred() = 0;
+
+ protected:
+  ~DeferredWork() = default;
+};
+
 class SimEngine {
  public:
   SimEngine() = default;
@@ -44,6 +59,25 @@ class SimEngine {
 
   /// Schedules `fn` to run at absolute virtual time `at` (clamped to Now()).
   EventId ScheduleAt(SimTime at, std::function<void()> fn);
+
+  /// Reserves the tie-break position a ScheduleAt call would take now, for
+  /// an event whose time is only known later (the flow network schedules
+  /// its next completion once per event, after all of the event's
+  /// changes). Events scheduled in between still order after it at equal
+  /// timestamps.
+  uint64_t ReserveSeq() { return next_seq_++; }
+
+  /// Schedules `fn` at `at` (clamped to Now()) in the tie-break position
+  /// `seq` previously returned by ReserveSeq().
+  EventId ScheduleReserved(SimTime at, uint64_t seq, std::function<void()> fn);
+
+  /// Runs `work->RunDeferred()` once before the engine next dispatches an
+  /// event (or finds none due). Call at most once until it has run.
+  void Defer(DeferredWork* work) { deferred_.push_back(work); }
+
+  /// Withdraws a Defer() that has not run yet (e.g. its owner is being
+  /// destroyed).
+  void CancelDeferred(DeferredWork* work);
 
   /// Schedules `fn` to run `delay` seconds from now.
   EventId ScheduleAfter(SimTime delay, std::function<void()> fn) {
@@ -102,6 +136,9 @@ class SimEngine {
 
   bool PopAndRunNext(SimTime limit);
 
+  /// Runs deferred work (which may schedule events) in Defer() order.
+  void RunDeferredWork();
+
   /// Filters cancelled entries out of the heap in one sweep and
   /// re-heapifies. Every cancelled id is either discarded here or was
   /// never pending (already fired), so the cancel set is cleared too.
@@ -115,6 +152,7 @@ class SimEngine {
   size_t peak_pending_ = 0;
   std::vector<Event> heap_;
   std::unordered_set<EventId> cancelled_;
+  std::vector<DeferredWork*> deferred_;
 };
 
 }  // namespace hiway

@@ -91,6 +91,48 @@ TEST(SimEngineTest, RunUntilPredicate) {
   EXPECT_EQ(count, 4);
 }
 
+TEST(SimEngineTest, ReservedSeqOrdersAtItsReservationPoint) {
+  SimEngine engine;
+  std::vector<int> order;
+  uint64_t seq = engine.ReserveSeq();
+  engine.ScheduleAt(1.0, [&] { order.push_back(2); });
+  // Scheduled last, but its reserved position puts it first at t = 1.
+  engine.ScheduleReserved(1.0, seq, [&] { order.push_back(1); });
+  engine.ScheduleAt(1.0, [&] { order.push_back(3); });
+  engine.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(SimEngineTest, DeferredWorkRunsOnceBeforeNextDispatch) {
+  struct Counter : DeferredWork {
+    int runs = 0;
+    std::vector<int>* order = nullptr;
+    void RunDeferred() override {
+      ++runs;
+      order->push_back(0);
+    }
+  };
+  SimEngine engine;
+  std::vector<int> order;
+  Counter work;
+  work.order = &order;
+  engine.ScheduleAt(1.0, [&] {
+    order.push_back(1);
+    engine.Defer(&work);
+  });
+  engine.ScheduleAt(2.0, [&] { order.push_back(2); });
+  engine.Run();
+  EXPECT_EQ(work.runs, 1);
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2}));
+
+  // Withdrawn work never runs.
+  engine.Defer(&work);
+  engine.CancelDeferred(&work);
+  engine.ScheduleAfter(1.0, [] {});
+  engine.Run();
+  EXPECT_EQ(work.runs, 1);
+}
+
 // ------------------------------------------------------------ flow network -
 
 TEST(FlowTest, SingleFlowRunsAtCapacity) {
