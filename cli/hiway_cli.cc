@@ -95,10 +95,6 @@ void PrintUsage() {
       "                           RM allocation-pass implementation\n"
       "                           (docs/scaling.md; full-scan is the\n"
       "                           pre-refactor O(apps) reference pass)\n"
-      "  --heartbeat-batch S      coalesce all AM->RM heartbeats into one\n"
-      "                           service sweep every S seconds (default\n"
-      "                           0 = per-AM heartbeat loops; shifts\n"
-      "                           heartbeat timing, see docs/scaling.md)\n"
       "  --queue NAME             submit subsequent --workflow flags to\n"
       "                           this service queue (default 'default')\n"
       "  --queue-config NAME=G,M,AMS,BACKLOG\n"
@@ -198,7 +194,6 @@ struct CliOptions {
   // Service mode.
   bool service = false;
   std::string rm_scheduler = "fifo";
-  double heartbeat_batch = 0.0;
   std::vector<ServiceQueueOptions> queue_configs;
   std::string faults;
   bool footprint_admission = false;
@@ -268,10 +263,6 @@ Result<CliOptions> ParseArgs(int argc, char** argv) {
             "--allocation-mode must be 'incremental' or 'full-scan'");
       }
       options.attributes["yarn/allocation_mode"] = v;
-    } else if (arg == "--heartbeat-batch") {
-      HIWAY_ASSIGN_OR_RETURN(std::string v,
-                             need_value(i, "--heartbeat-batch"));
-      HIWAY_ASSIGN_OR_RETURN(options.heartbeat_batch, ParseDouble(v));
     } else if (arg == "--queue") {
       HIWAY_ASSIGN_OR_RETURN(current_queue, need_value(i, "--queue"));
     } else if (arg == "--queue-config") {
@@ -567,7 +558,6 @@ Result<int> RunService(const CliOptions& cli) {
   service_options.queues = cli.queue_configs;
   service_options.base_seed = cli.seed;
   service_options.default_policy = cli.policy;
-  service_options.heartbeat_batch = cli.heartbeat_batch;
   service_options.footprint_admission = cli.footprint_admission;
   // Queues referenced by --queue but never configured get the defaults.
   for (const CliWorkflow& wf : cli.workflows) {

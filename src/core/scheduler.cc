@@ -35,37 +35,101 @@ void FcfsScheduler::RemoveTask(TaskId id) {
 
 // ---------------------------------------------------------- data-aware ----
 
-void DataAwareScheduler::EnqueueReady(const TaskSpec& task) {
-  queue_.push_back(task);
+void DataAwareScheduler::Resolve(QueuedTask* entry) const {
+  entry->locality.assign(entry->inputs.size(), InputLocality{});
+  entry->node_bytes.clear();
+  entry->total_bytes = 0;
+  entry->layout_epoch = dfs_->layout_epoch();
+  entry->missing_input = false;
+  for (size_t i = 0; i < entry->inputs.size(); ++i) {
+    InputLocality& input = entry->locality[i];
+    input.begin = static_cast<uint32_t>(entry->node_bytes.size());
+    input.end = input.begin;
+    const DfsFileInfo* info = dfs_->Find(entry->inputs[i]);
+    if (info == nullptr) {
+      entry->missing_input = true;
+      continue;
+    }
+    entry->total_bytes += info->size_bytes;
+    input.content_id = info->content_id;
+    // A block's replicas are distinct nodes, so summing a block's size
+    // into each replica node's slot gives Dfs::LocalBytes for every node.
+    for (const DfsBlock& block : info->blocks) {
+      for (NodeId replica : block.replicas) {
+        auto first = entry->node_bytes.begin() + input.begin;
+        auto it = std::find_if(first, entry->node_bytes.end(),
+                               [replica](const NodeBytes& nb) {
+                                 return nb.node == replica;
+                               });
+        if (it == entry->node_bytes.end()) {
+          entry->node_bytes.push_back(NodeBytes{replica, 0});
+          it = entry->node_bytes.end() - 1;
+        }
+        it->bytes += block.size_bytes;
+      }
+    }
+    input.end = static_cast<uint32_t>(entry->node_bytes.size());
+  }
 }
 
-int64_t DataAwareScheduler::EffectiveLocalBytes(const std::string& path,
+void DataAwareScheduler::Refresh(QueuedTask* entry) const {
+  // A node that joined after resolution holds no replica of an existing
+  // file until a re-replication, which moves the epoch; a missing input
+  // may have been created since without moving it.
+  if (entry->missing_input || entry->layout_epoch != dfs_->layout_epoch()) {
+    Resolve(entry);
+  }
+}
+
+int64_t DataAwareScheduler::EffectiveLocalBytes(const QueuedTask& entry,
                                                 NodeId node) const {
-  int64_t local = dfs_->LocalBytes(path, node);
-  if (staging_ != nullptr) {
-    // A staged copy only counts while it matches the file's current
-    // content; CachedBytes checks the fingerprint and never perturbs
-    // the cache's LRU order.
-    local = std::max(
-        local, staging_->CachedBytes(path, dfs_->ContentId(path), node));
+  int64_t local = 0;
+  for (size_t i = 0; i < entry.inputs.size(); ++i) {
+    const InputLocality& input = entry.locality[i];
+    int64_t bytes = 0;
+    for (uint32_t k = input.begin; k < input.end; ++k) {
+      if (entry.node_bytes[k].node == node) {
+        bytes = entry.node_bytes[k].bytes;
+        break;
+      }
+    }
+    if (staging_ != nullptr) {
+      // A staged copy only counts while it matches the file's current
+      // content; CachedBytes checks the fingerprint and never perturbs
+      // the cache's LRU order. It is read live: staging contents change
+      // without any DFS event.
+      bytes = std::max(bytes, staging_->CachedBytes(entry.inputs[i],
+                                                    input.content_id, node));
+    }
+    local += bytes;
   }
   return local;
+}
+
+void DataAwareScheduler::EnqueueReady(const TaskSpec& task) {
+  QueuedTask entry;
+  entry.id = task.id;
+  entry.inputs = task.input_files;
+  Resolve(&entry);
+  queued_inputs_ += static_cast<int64_t>(entry.inputs.size());
+  queue_.push_back(std::move(entry));
 }
 
 ContainerRequest DataAwareScheduler::RequestFor(const TaskSpec& task) {
   ContainerRequest r;
   r.vcores = task.vcores;
   r.memory_mb = task.memory_mb;
+  // Resolved afresh: the task need not be queued (nor its entry current).
+  QueuedTask entry;
+  entry.inputs = task.input_files;
+  Resolve(&entry);
   // Prefer the node with the most input data, but allow any (relaxed
   // locality): the *selection* step re-optimises against the node YARN
   // actually hands us.
   int64_t best_bytes = -1;
   NodeId best_node = kInvalidNode;
   for (NodeId n = 0; n < dfs_->cluster()->num_nodes(); ++n) {
-    int64_t local = 0;
-    for (const std::string& path : task.input_files) {
-      local += EffectiveLocalBytes(path, n);
-    }
+    int64_t local = EffectiveLocalBytes(entry, n);
     if (local > best_bytes) {
       best_bytes = local;
       best_node = n;
@@ -77,36 +141,45 @@ ContainerRequest DataAwareScheduler::RequestFor(const TaskSpec& task) {
 
 std::optional<TaskId> DataAwareScheduler::SelectTask(NodeId node) {
   if (queue_.empty()) return std::nullopt;
+  // The modelled AM asks the NameNode for every queued input's block
+  // locations on each selection (the Fig. 6 master load), even though
+  // the answers come from the index.
+  dfs_->ChargeMetadataOps(queued_inputs_);
   // "skims through all tasks pending execution, from which it selects the
   // task with the highest fraction of input data available locally"
   // (Sec. 3.4). Ties resolve FIFO.
   double best_fraction = -1.0;
   size_t best_index = 0;
   for (size_t i = 0; i < queue_.size(); ++i) {
-    const TaskSpec& task = queue_[i];
-    int64_t total = 0;
-    int64_t local = 0;
-    for (const std::string& path : task.input_files) {
-      auto info = dfs_->Stat(path);
-      if (info.ok()) total += info->size_bytes;
-      local += EffectiveLocalBytes(path, node);
-    }
-    double fraction =
-        total > 0 ? static_cast<double>(local) / static_cast<double>(total)
-                  : 0.0;
+    QueuedTask& entry = queue_[i];
+    Refresh(&entry);
+    int64_t local = EffectiveLocalBytes(entry, node);
+    double fraction = entry.total_bytes > 0
+                          ? static_cast<double>(local) /
+                                static_cast<double>(entry.total_bytes)
+                          : 0.0;
     if (fraction > best_fraction + 1e-12) {
       best_fraction = fraction;
       best_index = i;
     }
   }
-  TaskId id = queue_[best_index].id;
-  queue_.erase(queue_.begin() + static_cast<ptrdiff_t>(best_index));
+  auto picked = queue_.begin() + static_cast<ptrdiff_t>(best_index);
+  TaskId id = picked->id;
+  queued_inputs_ -= static_cast<int64_t>(picked->inputs.size());
+  queue_.erase(picked);
   return id;
 }
 
 void DataAwareScheduler::RemoveTask(TaskId id) {
+  for (const QueuedTask& entry : queue_) {
+    if (entry.id == id) {
+      queued_inputs_ -= static_cast<int64_t>(entry.inputs.size());
+    }
+  }
   queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
-                              [id](const TaskSpec& t) { return t.id == id; }),
+                              [id](const QueuedTask& entry) {
+                                return entry.id == id;
+                              }),
                queue_.end());
 }
 

@@ -96,6 +96,14 @@ class FcfsScheduler : public WorkflowScheduler {
 /// attached, bytes a node retained from earlier stage-ins count as local
 /// too — a cached copy is as cheap as an HDFS block replica, so warm
 /// nodes attract the tasks whose inputs they already hold.
+///
+/// Each queued task's input locality is resolved once, at enqueue: its
+/// total input bytes and, per input, the DFS-local bytes of every node
+/// holding a replica. Selection scans these arrays; an entry is resolved
+/// again only when the DFS block layout changed since (Dfs::layout_epoch)
+/// or one of its inputs did not exist yet. The staging-cache term is read
+/// live, since the cache changes without any DFS event
+/// (docs/scheduling-model.md).
 class DataAwareScheduler : public WorkflowScheduler {
  public:
   explicit DataAwareScheduler(Dfs* dfs,
@@ -109,13 +117,46 @@ class DataAwareScheduler : public WorkflowScheduler {
   size_t QueuedCount() const override { return queue_.size(); }
 
  private:
-  /// Bytes of `path` effectively local to `node`: HDFS block replicas or
-  /// a fresh staging-cache copy, whichever is larger.
-  int64_t EffectiveLocalBytes(const std::string& path, NodeId node) const;
+  /// DFS-local bytes of one input on one node (summed over its blocks).
+  struct NodeBytes {
+    NodeId node = kInvalidNode;
+    int64_t bytes = 0;
+  };
+  struct InputLocality {
+    /// 0 when the input did not exist at resolution.
+    uint64_t content_id = 0;
+    /// The input's nodes: [begin, end) of QueuedTask::node_bytes.
+    uint32_t begin = 0;
+    uint32_t end = 0;
+  };
+  /// A queued task and its resolved input locality.
+  struct QueuedTask {
+    TaskId id = kInvalidTask;
+    std::vector<std::string> inputs;
+    std::vector<InputLocality> locality;  // parallel to `inputs`
+    std::vector<NodeBytes> node_bytes;
+    int64_t total_bytes = 0;
+    uint64_t layout_epoch = 0;
+    bool missing_input = false;
+  };
+
+  /// (Re)computes `entry`'s locality from the DFS block lists; counts no
+  /// metadata op.
+  void Resolve(QueuedTask* entry) const;
+  /// Resolves `entry` again if the DFS layout moved or an input was
+  /// missing; a no-op otherwise.
+  void Refresh(QueuedTask* entry) const;
+  /// Bytes of `entry`'s inputs effectively local to `node`: per input,
+  /// the HDFS block replicas there or a fresh staging-cache copy,
+  /// whichever is larger.
+  int64_t EffectiveLocalBytes(const QueuedTask& entry, NodeId node) const;
 
   Dfs* dfs_;
   const StagingCache* staging_;
-  std::deque<TaskSpec> queue_;  // FIFO among locality ties
+  std::deque<QueuedTask> queue_;  // FIFO among locality ties
+  /// Inputs over all queued tasks: the block-location queries (NameNode
+  /// metadata ops) one selection models.
+  int64_t queued_inputs_ = 0;
 };
 
 /// Static round-robin: tasks are dealt to nodes in turn (topological

@@ -89,6 +89,7 @@ Status Dfs::Delete(const std::string& path) {
   ++counters_.files_deleted;
   AccountReplicas(it->second, -1);
   files_.erase(it);
+  ++layout_epoch_;
   return Status::OK();
 }
 
@@ -170,6 +171,11 @@ uint64_t Dfs::ContentId(const std::string& path) const {
   auto it = files_.find(path);
   if (it == files_.end()) return 0;
   return it->second.content_id;
+}
+
+const DfsFileInfo* Dfs::Find(const std::string& path) const {
+  auto it = files_.find(path);
+  return it == files_.end() ? nullptr : &it->second;
 }
 
 uint64_t Dfs::NextContentId(const std::string& path, int64_t size_bytes) {
@@ -376,6 +382,11 @@ void Dfs::WriteFromNode(const std::string& path, int64_t size_bytes,
 }
 
 void Dfs::KillNode(NodeId node) {
+  DropNode(node);
+  ++layout_epoch_;
+}
+
+void Dfs::DropNode(NodeId node) {
   dead_nodes_.insert(node);
   auto stored = stored_bytes_.find(node);
   if (stored != stored_bytes_.end()) {
@@ -412,7 +423,8 @@ void Dfs::DecommissionNode(NodeId node) {
       ++counters_.metadata_ops;
     }
   }
-  KillNode(node);
+  DropNode(node);
+  ++layout_epoch_;
 }
 
 bool Dfs::AllFilesReadable() const {
@@ -438,6 +450,7 @@ bool Dfs::FileReadable(const std::string& path) const {
 
 void Dfs::ReReplicate() {
   int rep = EffectiveReplication();
+  bool added = false;
   for (auto& [path, info] : files_) {
     for (DfsBlock& block : info.blocks) {
       if (block.replicas.empty()) continue;  // unrecoverable
@@ -459,9 +472,11 @@ void Dfs::ReReplicate() {
         AccountReplica(dst, block.size_bytes, +1);
         ++counters_.blocks_re_replicated;
         ++counters_.metadata_ops;
+        added = true;
       }
     }
   }
+  if (added) ++layout_epoch_;
 }
 
 int64_t Dfs::StoredBytes(NodeId node) const {

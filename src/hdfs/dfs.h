@@ -117,13 +117,33 @@ class Dfs {
   Status RegisterExternalFile(const std::string& path, int64_t size_bytes);
 
   /// Bytes of `path` that have a replica on `node` — the quantity the
-  /// data-aware scheduler maximises.
+  /// data-aware scheduler maximises (its index sums the same bytes from
+  /// the block lists; see Find). Not counted as a metadata op.
   int64_t LocalBytes(const std::string& path, NodeId node) const;
 
   /// Content fingerprint of `path` (see DfsFileInfo::content_id);
   /// 0 when the file does not exist. Not counted as a metadata op: every
   /// caller pairs it with a Stat/Exists that already is.
   uint64_t ContentId(const std::string& path) const;
+
+  /// Metadata of `path` without a copy, or nullptr when it does not
+  /// exist. Not counted as a metadata op: the data-aware scheduler
+  /// resolves its locality index through this and charges the
+  /// block-location queries it models itself (ChargeMetadataOps). The
+  /// pointer stays valid until the file is deleted.
+  const DfsFileInfo* Find(const std::string& path) const;
+
+  /// Counts `ops` metadata ops answered without a lookup here.
+  void ChargeMetadataOps(int64_t ops) const {
+    counters_.metadata_ops += ops;
+  }
+
+  /// Bumped by every call that changes or removes an existing file's
+  /// blocks: Delete, KillNode, DecommissionNode and a ReReplicate that
+  /// adds a replica. Creating a file leaves it alone (no existing file's
+  /// layout changes), so a block-layout cache keyed by this epoch must
+  /// re-resolve a path it found missing by itself.
+  uint64_t layout_epoch() const { return layout_epoch_; }
 
   /// All file paths currently in the namespace, sorted.
   std::vector<std::string> ListFiles() const;
@@ -204,6 +224,10 @@ class Dfs {
 
   int EffectiveReplication() const;
 
+  /// Marks `node` dead and drops every replica it stores (KillNode and
+  /// DecommissionNode; each bumps the layout epoch itself).
+  void DropNode(NodeId node);
+
   /// Bumps the path's write generation and returns the fingerprint for a
   /// file of `size_bytes` being created now.
   uint64_t NextContentId(const std::string& path, int64_t size_bytes);
@@ -223,6 +247,7 @@ class Dfs {
   /// namespace scans).
   std::map<NodeId, int64_t> stored_bytes_;
   int64_t total_stored_bytes_ = 0;
+  uint64_t layout_epoch_ = 0;
 };
 
 }  // namespace hiway

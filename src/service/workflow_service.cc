@@ -312,7 +312,6 @@ bool WorkflowService::TryStart(SubmissionId id) {
   HiWayOptions hiway = sub.options.hiway;
   hiway.seed = SeedFor(id);
   hiway.rm_queue = rec.queue;
-  if (options_.heartbeat_batch > 0.0) hiway.am_heartbeat_s = 0.0;
   sub.am = std::make_unique<HiWayAm>(
       deployment_->cluster.get(), deployment_->rm.get(),
       deployment_->dfs.get(), &deployment_->tools,
@@ -334,7 +333,6 @@ bool WorkflowService::TryStart(SubmissionId id) {
         deployment_->rm->RegisterAppFootprint(sub.am->app(),
                                               sub.admission_bytes);
       }
-      ScheduleHeartbeatBatch();
     }
     return true;
   }
@@ -491,7 +489,6 @@ void WorkflowService::TryRecover(SubmissionId id) {
   hiway.seed = SeedFor(id);
   hiway.rm_queue = rec.queue;
   hiway.am_attempt = rec.am_attempts + 1;
-  if (options_.heartbeat_batch > 0.0) hiway.am_heartbeat_s = 0.0;
   sub.am = std::make_unique<HiWayAm>(
       deployment_->cluster.get(), deployment_->rm.get(),
       deployment_->dfs.get(), &deployment_->tools,
@@ -537,7 +534,6 @@ void WorkflowService::TryRecover(SubmissionId id) {
         deployment_->rm->RegisterAppFootprint(sub.am->app(),
                                               sub.admission_bytes);
       }
-      ScheduleHeartbeatBatch();
     }
     return;
   }
@@ -738,28 +734,6 @@ void WorkflowService::Reap() {
     subs_.erase(id);
   }
   reap_list_.clear();
-}
-
-void WorkflowService::ScheduleHeartbeatBatch() {
-  if (options_.heartbeat_batch <= 0.0 || heartbeat_scheduled_) return;
-  if (app_of_.empty()) return;
-  heartbeat_scheduled_ = true;
-  deployment_->engine.ScheduleAfter(options_.heartbeat_batch, [this] {
-    heartbeat_scheduled_ = false;
-    // One sweep over the live AMs, ascending application id. Crashed
-    // attempts stay mapped until the RM declares them failed, and a
-    // crashed AM's process is exactly what must NOT heartbeat — skip it
-    // so the RM's liveness timeout still fires.
-    for (const auto& [app, id] : app_of_) {
-      auto it = subs_.find(id);
-      if (it == subs_.end() || it->second.am == nullptr ||
-          it->second.am->crashed()) {
-        continue;
-      }
-      deployment_->rm->AmHeartbeat(app);
-    }
-    ScheduleHeartbeatBatch();
-  });
 }
 
 Status WorkflowService::RunToCompletion() {

@@ -73,14 +73,6 @@ struct WorkflowServiceOptions {
   /// provenance trace (completed tasks are memoised, not re-executed).
   /// Only submissions with a source_factory are recoverable.
   RetryPolicy am_retry{.max_attempts = 3, .backoff_base_s = 2.0};
-  /// > 0: batched AM liveness heartbeats (docs/scaling.md). Per-AM
-  /// heartbeat timers are disabled (am_heartbeat_s forced to 0 on every
-  /// AM the service launches) and one periodic service event this many
-  /// seconds apart forwards AmHeartbeat for every live AM — thousands of
-  /// re-arming engine events collapse into one O(live AMs) sweep. Off
-  /// (0) by default: batching shifts heartbeat timestamps, so seed-scale
-  /// runs stay byte-identical only without it.
-  double heartbeat_batch = 0.0;
   /// Footprint-aware admission (docs/storage-model.md): before starting a
   /// submission's AM, check that its projected raw storage footprint fits
   /// into the DFS capacity left over after the baseline captured at
@@ -309,9 +301,6 @@ class WorkflowService {
   /// from inside AM code). Targeted: only ids on the reap list are
   /// visited, not the whole submission table.
   void Reap();
-  /// Re-arms the batched-heartbeat sweep while any AM is live (no-op
-  /// when heartbeat_batch is off or a sweep is already scheduled).
-  void ScheduleHeartbeatBatch();
   uint64_t SeedFor(SubmissionId id) const;
   /// Fills the submission's footprint estimate and admission charge
   /// (called once at Submit when footprint admission is active).
@@ -337,7 +326,6 @@ class WorkflowService {
   SubmissionId next_id_ = 1;
   bool retry_scheduled_ = false;
   bool reap_scheduled_ = false;
-  bool heartbeat_scheduled_ = false;
   /// Queues with new backlog or freed slots since the last Pump().
   std::set<std::string> pumpable_;
   /// Terminal submissions awaiting their deferred Reap().

@@ -129,6 +129,47 @@ TEST(DfsTest, DeleteRemovesFile) {
   EXPECT_TRUE(rig.dfs->Delete("/a").IsNotFound());
 }
 
+TEST(DfsTest, LayoutEpochMovesOnlyWhenExistingBlocksChange) {
+  DfsOptions options;
+  options.replication = 2;
+  DfsRig rig(4, options);
+  uint64_t epoch = rig.dfs->layout_epoch();
+  // Creating files changes no existing layout; neither do reads of it.
+  ASSERT_TRUE(rig.dfs->IngestFile("/a", 10 << 20).ok());
+  ASSERT_TRUE(rig.dfs->IngestFile("/b", 10 << 20).ok());
+  EXPECT_TRUE(rig.dfs->Delete("/missing").IsNotFound());
+  ASSERT_NE(rig.dfs->Find("/a"), nullptr);
+  EXPECT_EQ(rig.dfs->Find("/missing"), nullptr);
+  EXPECT_EQ(rig.dfs->layout_epoch(), epoch);
+  // Nothing is under-replicated yet.
+  rig.dfs->ReReplicate();
+  EXPECT_EQ(rig.dfs->layout_epoch(), epoch);
+
+  rig.dfs->KillNode(0);
+  EXPECT_GT(rig.dfs->layout_epoch(), epoch);
+  epoch = rig.dfs->layout_epoch();
+  rig.dfs->DecommissionNode(1);
+  EXPECT_GT(rig.dfs->layout_epoch(), epoch);
+  epoch = rig.dfs->layout_epoch();
+  rig.dfs->ReReplicate();
+  EXPECT_GT(rig.dfs->layout_epoch(), epoch);
+  epoch = rig.dfs->layout_epoch();
+  ASSERT_TRUE(rig.dfs->Delete("/a").ok());
+  EXPECT_GT(rig.dfs->layout_epoch(), epoch);
+}
+
+TEST(DfsTest, FindAndChargeCountNoLookups) {
+  DfsRig rig(2);
+  ASSERT_TRUE(rig.dfs->IngestFile("/a", 1 << 20).ok());
+  int64_t before = rig.dfs->counters().metadata_ops;
+  const DfsFileInfo* info = rig.dfs->Find("/a");
+  ASSERT_NE(info, nullptr);
+  EXPECT_EQ(info->size_bytes, 1 << 20);
+  EXPECT_EQ(rig.dfs->counters().metadata_ops, before);
+  rig.dfs->ChargeMetadataOps(5);
+  EXPECT_EQ(rig.dfs->counters().metadata_ops, before + 5);
+}
+
 TEST(DfsTest, LocalReadIsDiskOnly) {
   DfsRig rig(2);
   ASSERT_TRUE(rig.dfs->IngestFile("/a", 100 << 20, NodeId{0}).ok());
